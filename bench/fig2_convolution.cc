@@ -20,16 +20,27 @@ main()
     std::cout << "=== Figure 2: SeparableConvolution mappings vs kernel "
                  "width (3520x3520, modeled ms) ===\n";
     const int64_t n = 3520;
+    // One type per width: a benchmark's type fixes its model.
+    const std::vector<std::shared_ptr<ConvolutionBenchmark>> widths = {
+        std::make_shared<ConvolutionAtWidth<3>>(),
+        std::make_shared<ConvolutionAtWidth<5>>(),
+        std::make_shared<ConvolutionAtWidth<7>>(),
+        std::make_shared<ConvolutionAtWidth<9>>(),
+        std::make_shared<ConvolutionAtWidth<11>>(),
+        std::make_shared<ConvolutionAtWidth<13>>(),
+        std::make_shared<ConvolutionAtWidth<15>>(),
+        std::make_shared<ConvolutionAtWidth<17>>(),
+    };
 
     for (const auto &machine : sim::MachineProfile::all()) {
         std::cout << "\n-- " << machine.name << " --\n";
         TextTable table({"width", "2D No-local", "2D Localmem",
                          "Separable No-local", "Separable Localmem",
                          "Autotuner", "Autotuner matches best"});
-        for (int64_t kw = 3; kw <= 17; kw += 2) {
-            ConvolutionBenchmark bench(kw);
+        for (const auto &width : widths) {
+            const ConvolutionBenchmark &bench = *width;
             double best = std::numeric_limits<double>::infinity();
-            std::vector<std::string> row{std::to_string(kw)};
+            std::vector<std::string> row{std::to_string(bench.kwidth())};
             for (bool separable : {false, true}) {
                 for (bool local : {false, true}) {
                     // All four fixed mappings place work on the GPU,

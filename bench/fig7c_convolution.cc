@@ -44,7 +44,7 @@ main()
 {
     std::cout << "=== Figure 7(c): Separable Convolution "
                  "(3520^2, width 7) ===\n";
-    ConvolutionBenchmark bench(7);
+    ConvolutionBenchmark bench;
     auto configs = bench::tuneAllMachines(bench);
     double handCoded = handCodedConvSeconds(
         3520, 7, sim::MachineProfile::desktop());

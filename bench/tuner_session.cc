@@ -134,7 +134,7 @@ main()
     // Each real run costs milliseconds to tens of milliseconds, so
     // this is the path where fan-out across engine instances buys
     // wall-clock (given cores to fan onto).
-    apps::ConvolutionBenchmark conv(5);
+    apps::ConvolutionAtWidth<5> conv;
     std::vector<tuner::Config> batch;
     for (bool separable : {false, true})
         for (bool local : {false, true})

@@ -20,8 +20,7 @@ int
 main()
 {
     const int64_t n = 64;
-    const int iterations = 8;
-    PoissonBenchmark bench(iterations);
+    PoissonBenchmark bench;
     Rng rng(3);
 
     tuner::Config config = bench.seedConfig();
@@ -49,8 +48,9 @@ main()
                               g.at(x, y + 1));
         return r;
     };
-    std::cout << iterations << " red-black SOR iterations on a " << n
-              << "x" << n << " grid\n"
+    std::cout << PoissonBenchmark::kIterations
+              << " red-black SOR iterations on a " << n << "x" << n
+              << " grid\n"
               << "  split on CPU, iterate on GPU (local memory)\n"
               << "  max error vs direct SOR: " << run.maxError << "\n"
               << "  residual: " << residual(initial) << " -> "

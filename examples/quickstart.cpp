@@ -23,7 +23,7 @@ main()
     // SeparableConvolution, the paper's running example: choice of a
     // single-pass 2-D convolution or two 1-D passes, each mappable to
     // the CPU backend or the (emulated) OpenCL backend.
-    ConvolutionBenchmark bench(5);
+    ConvolutionBenchmark bench;
     tuner::Config config =
         ConvolutionBenchmark::fixedMapping(/*separable=*/true,
                                            /*localMem=*/true);

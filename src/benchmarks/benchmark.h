@@ -92,7 +92,19 @@ class EvalContext
 
 using EvalContextPtr = std::shared_ptr<const EvalContext>;
 
-/** See file comment. */
+/**
+ * See file comment.
+ *
+ * Invariant: a benchmark's dynamic type fixes its model. Two instances
+ * of the same class price every (config, n, machine) identically and
+ * build interchangeable evaluation contexts — no constructor
+ * parameter or per-instance state may change the model (tunable
+ * constants are static members). engine::ModelEngine's process-wide
+ * context memo keys on the type, and ExecutionEngine::cacheScope() on
+ * the name, relying on this. Per-instance state is confined to the
+ * real-mode surface (e.g. ChoiceFile), which is why registry lookups
+ * still return fresh instances.
+ */
 class Benchmark
 {
   public:
@@ -105,10 +117,10 @@ class Benchmark
     virtual ~Benchmark() = default;
 
     /**
-     * Process-unique identity of this benchmark *instance*. Engines
-     * key per-(benchmark, n) evaluation-context memos on it instead of
-     * the object address, so a destroyed benchmark whose address is
-     * reused can never be served another instance's context.
+     * Process-unique identity of this benchmark *instance*. An engine
+     * keys its one-slot context fast path on it instead of the object
+     * address, so a destroyed benchmark whose address is reused is
+     * never mistaken for the one the slot was filled for.
      */
     uint64_t instanceId() const { return instanceId_; }
 
@@ -133,9 +145,11 @@ class Benchmark
     /**
      * Precompute the config-invariant evaluation state for
      * (@p n, @p machine): slot extents, access-region geometry,
-     * transform structure, selector/tunable positions. Built once per
-     * evaluateBatch/generation by engine::ModelEngine and shared by
-     * every candidate of the batch. Default: nullptr (no fast path;
+     * transform structure, selector/tunable positions. The result
+     * depends only on the benchmark's type, @p n and @p machine (see
+     * the class invariant), so engine::ModelEngine builds it once per
+     * process and shares it with every engine, batch and candidate
+     * pricing the same point. Default: nullptr (no fast path;
      * the context overload of evaluate() then uses the reference
      * path).
      */
@@ -151,7 +165,8 @@ class Benchmark
      * Fast-path evaluate(): identical result to the reference overload
      * (bit-for-bit, including thrown FatalErrors), but sharing the
      * config-invariant work in @p ctx. @p ctx must come from
-     * makeEvalContext(n, machine) of this benchmark, or be nullptr to
+     * makeEvalContext(n, machine) of a benchmark of the same dynamic
+     * type (any instance: see the class invariant), or be nullptr to
      * fall back to the reference path.
      */
     virtual double

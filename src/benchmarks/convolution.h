@@ -22,11 +22,19 @@
 namespace petabricks {
 namespace apps {
 
-/** See file comment. */
+/**
+ * See file comment. The registered benchmark convolves with a
+ * kKernelWidth-wide kernel; other widths (the Figure 2 sweep) are the
+ * distinct ConvolutionAtWidth types below, so a benchmark's type still
+ * fixes its model.
+ */
 class ConvolutionBenchmark : public Benchmark
 {
   public:
-    explicit ConvolutionBenchmark(int64_t kwidth = 7);
+    /** Kernel width of the registered benchmark. */
+    static constexpr int64_t kKernelWidth = 7;
+
+    ConvolutionBenchmark() : ConvolutionBenchmark(kKernelWidth) {}
 
     std::string name() const override { return "SeparableConv."; }
     tuner::Config seedConfig() const override;
@@ -70,9 +78,31 @@ class ConvolutionBenchmark : public Benchmark
      */
     static tuner::Config fixedMapping(bool separable, bool localMem);
 
+  protected:
+    /** For ConvolutionAtWidth: one fixed width per derived type. */
+    explicit ConvolutionBenchmark(int64_t kwidth);
+
   private:
     int64_t kwidth_;
     std::shared_ptr<lang::Transform> transform_;
+};
+
+/** SeparableConvolution with a @p Width-wide kernel, as its own type. */
+template <int64_t Width>
+class ConvolutionAtWidth : public ConvolutionBenchmark
+{
+    static_assert(Width >= 3 && Width % 2 == 1,
+                  "kernel width must be odd and >= 3");
+
+  public:
+    ConvolutionAtWidth() : ConvolutionBenchmark(Width) {}
+
+    /** Distinct per width: the shared cache scopes entries by name. */
+    std::string
+    name() const override
+    {
+        return "SeparableConv. (width " + std::to_string(Width) + ")";
+    }
 };
 
 /** Build the SeparableConvolution transform for a given kernel width. */

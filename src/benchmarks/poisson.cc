@@ -141,9 +141,8 @@ makePoissonTransform(int iterations)
     return t;
 }
 
-PoissonBenchmark::PoissonBenchmark(int iterations)
-    : iterations_(iterations),
-      transform_(makePoissonTransform(iterations))
+PoissonBenchmark::PoissonBenchmark()
+    : transform_(makePoissonTransform(kIterations))
 {
 }
 
@@ -170,7 +169,7 @@ PoissonBenchmark::planFor(const tuner::Config &config, int64_t n) const
     compiler::TransformConfig plan;
     plan.choiceIndex = 0;
     plan.stages = {split, split};
-    for (int k = 0; k < iterations_; ++k) {
+    for (int k = 0; k < kIterations; ++k) {
         plan.stages.push_back(iterate);
         plan.stages.push_back(iterate);
     }
@@ -184,7 +183,7 @@ PoissonBenchmark::evaluate(const tuner::Config &config, int64_t n,
     if (n < 8 || n % 2 != 0)
         return std::numeric_limits<double>::infinity();
     auto outcome = compiler::simulateTransform(
-        *transform_, planFor(config, n), poissonSizes(n, iterations_),
+        *transform_, planFor(config, n), poissonSizes(n, kIterations),
         {n, n, 15000}, machine);
     return outcome.seconds;
 }
@@ -196,7 +195,7 @@ PoissonBenchmark::makeEvalContext(int64_t n,
     if (n < 8 || n % 2 != 0)
         return nullptr; // degenerate size: evaluate() is +inf anyway
     return std::make_shared<PoissonEvalContext>(transform_, n,
-                                                iterations_, machine,
+                                                kIterations, machine,
                                                 seedConfig());
 }
 
@@ -222,7 +221,7 @@ PoissonBenchmark::evaluate(const tuner::Config &config, int64_t n,
     plan.stages.clear();
     plan.stages.push_back(split);
     plan.stages.push_back(split);
-    for (int k = 0; k < iterations_; ++k) {
+    for (int k = 0; k < kIterations; ++k) {
         plan.stages.push_back(iterate);
         plan.stages.push_back(iterate);
     }
@@ -237,10 +236,8 @@ PoissonBenchmark::kernelSources(const tuner::Config &config,
     compiler::TransformConfig plan = planFor(config, n);
     appendKernelSources(sources, plan.stages[0], "PackRed");
     appendKernelSources(sources, plan.stages[1], "PackBlack");
-    if (iterations_ >= 1) {
-        appendKernelSources(sources, plan.stages[2], "UpdateRed");
-        appendKernelSources(sources, plan.stages[3], "UpdateBlack");
-    }
+    appendKernelSources(sources, plan.stages[2], "UpdateRed");
+    appendKernelSources(sources, plan.stages[3], "UpdateBlack");
     return sources;
 }
 
@@ -249,12 +246,10 @@ PoissonBenchmark::kernelCount(const tuner::Config &config,
                               int64_t n) const
 {
     compiler::TransformConfig plan = planFor(config, n);
-    int count = stageKernelCount(plan.stages[0]) +
-                stageKernelCount(plan.stages[1]);
-    if (iterations_ >= 1)
-        count += stageKernelCount(plan.stages[2]) +
-                 stageKernelCount(plan.stages[3]);
-    return count;
+    return stageKernelCount(plan.stages[0]) +
+           stageKernelCount(plan.stages[1]) +
+           stageKernelCount(plan.stages[2]) +
+           stageKernelCount(plan.stages[3]);
 }
 
 int
@@ -283,7 +278,7 @@ PoissonBenchmark::makeBinding(int64_t n, Rng &rng) const
     for (int64_t i = 0; i < grid.size(); ++i)
         grid[i] = rng.uniformReal(-1.0, 1.0);
     binding.matrices.emplace("In", grid);
-    for (int k = 0; k <= iterations_; ++k) {
+    for (int k = 0; k <= kIterations; ++k) {
         binding.matrices.emplace("Red" + std::to_string(k),
                                  MatrixD(n / 2, n));
         binding.matrices.emplace("Black" + std::to_string(k),
@@ -321,9 +316,9 @@ MatrixD
 PoissonBenchmark::unpackResult(const lang::Binding &binding) const
 {
     const MatrixD &red =
-        binding.matrix("Red" + std::to_string(iterations_));
+        binding.matrix("Red" + std::to_string(kIterations));
     const MatrixD &black =
-        binding.matrix("Black" + std::to_string(iterations_));
+        binding.matrix("Black" + std::to_string(kIterations));
     int64_t w = red.width() * 2;
     int64_t h = red.height();
     MatrixD grid(w, h);
@@ -340,15 +335,14 @@ PoissonBenchmark::checkOutput(const lang::Binding &binding) const
 {
     // The rules only write the packed Red/Black slots, so the bound
     // input grid still holds the initial state.
-    MatrixD ref = reference(binding.matrix("In"), iterations_, kOmega);
+    MatrixD ref = reference(binding.matrix("In"), kIterations, kOmega);
     return maxAbsDiff(unpackResult(binding), ref);
 }
 
 tuner::Config
 PoissonBenchmark::cpuOnlyConfig()
 {
-    PoissonBenchmark proto(1);
-    tuner::Config config = proto.seedConfig();
+    tuner::Config config = PoissonBenchmark().seedConfig();
     int cpu = backendAlg(compiler::Backend::Cpu);
     config.selector("Poisson.split.backend").setAlgorithm(0, cpu);
     config.selector("Poisson.iterate.backend").setAlgorithm(0, cpu);

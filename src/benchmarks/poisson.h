@@ -38,8 +38,10 @@ std::shared_ptr<lang::Transform> makePoissonTransform(int iterations);
 class PoissonBenchmark : public Benchmark
 {
   public:
-    /** @param iterations SOR half-sweep pairs the benchmark times. */
-    explicit PoissonBenchmark(int iterations = 16);
+    PoissonBenchmark();
+
+    /** SOR half-sweep pairs the benchmark times. */
+    static constexpr int kIterations = 16;
 
     std::string name() const override { return "Poisson2D SOR"; }
     tuner::Config seedConfig() const override;
@@ -59,8 +61,6 @@ class PoissonBenchmark : public Benchmark
     int openclKernelCount() const override;
     std::string describeConfig(const tuner::Config &config,
                                int64_t n) const override;
-
-    int iterations() const { return iterations_; }
 
     // Real-mode surface. makeBinding() binds a random boundary-value
     // problem on an n x n grid (n must be even).
@@ -92,7 +92,6 @@ class PoissonBenchmark : public Benchmark
     static constexpr double kOmega = 1.5;
 
   private:
-    int iterations_;
     std::shared_ptr<lang::Transform> transform_;
 };
 

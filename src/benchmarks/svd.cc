@@ -150,9 +150,8 @@ makeSvdTransform(const ChoiceFilePtr &choices)
 
 } // namespace
 
-SvdBenchmark::SvdBenchmark(double accuracyTarget)
-    : accuracyTarget_(accuracyTarget),
-      choices_(std::make_shared<ChoiceFile>()),
+SvdBenchmark::SvdBenchmark()
+    : choices_(std::make_shared<ChoiceFile>()),
       transform_(makeSvdTransform(choices_))
 {
 }
@@ -224,7 +223,7 @@ SvdBenchmark::evaluate(const tuner::Config &config, int64_t n,
                        const sim::MachineProfile &machine) const
 {
     int k8 = static_cast<int>(config.tunableValue("SVD.k8"));
-    if (modeledError(k8) > accuracyTarget_)
+    if (modeledError(k8) > kAccuracyTarget)
         return std::numeric_limits<double>::infinity();
     double dn = static_cast<double>(n);
     double k = dn * k8 / 8.0;
@@ -328,7 +327,7 @@ SvdBenchmark::makeEvalContext(int64_t n,
                               const sim::MachineProfile &machine) const
 {
     return std::make_shared<SvdEvalContext>(seedConfig(), n, machine,
-                                            accuracyTarget_);
+                                            kAccuracyTarget);
 }
 
 double

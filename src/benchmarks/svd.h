@@ -42,8 +42,10 @@ enum SvdPhase1
 class SvdBenchmark : public Benchmark
 {
   public:
-    /** @param accuracyTarget max relative Frobenius error allowed. */
-    explicit SvdBenchmark(double accuracyTarget = 0.30);
+    SvdBenchmark();
+
+    /** Max relative Frobenius error allowed. */
+    static constexpr double kAccuracyTarget = 0.30;
 
     std::string name() const override { return "SVD"; }
     tuner::Config seedConfig() const override;
@@ -64,8 +66,6 @@ class SvdBenchmark : public Benchmark
     int openclKernelCount() const override { return 2; }
     std::string describeConfig(const tuner::Config &config,
                                int64_t n) const override;
-
-    double accuracyTarget() const { return accuracyTarget_; }
 
     /**
      * Real-mode approximation: returns the rank-k approximation of
@@ -92,7 +92,7 @@ class SvdBenchmark : public Benchmark
     compiler::TransformConfig planFor(const tuner::Config &config,
                                       int64_t n) const override;
     double checkOutput(const lang::Binding &binding) const override;
-    double realModeTolerance() const override { return accuracyTarget_; }
+    double realModeTolerance() const override { return kAccuracyTarget; }
     int64_t realModeProbeSize() const override { return 32; }
 
     /**
@@ -105,7 +105,6 @@ class SvdBenchmark : public Benchmark
     static constexpr double kLocalityPenalty = 1.35;
 
   private:
-    double accuracyTarget_;
     ChoiceFilePtr choices_;
     std::shared_ptr<lang::Transform> transform_;
 };

@@ -1,7 +1,11 @@
 #include "engine/execution_engine.h"
 
 #include <chrono>
+#include <map>
+#include <mutex>
 #include <thread>
+#include <tuple>
+#include <typeindex>
 
 #include "support/error.h"
 #include "support/hash.h"
@@ -107,11 +111,81 @@ ExecutionEngine::measureBatch(const apps::Benchmark &benchmark,
 
 // ---- ModelEngine -------------------------------------------------------
 
+namespace {
+
+/** The process-wide context memo (see ModelEngine::contextFor). */
+struct ContextMemo
+{
+    /** (dynamic benchmark type, n, machine content fingerprint). */
+    using Key = std::tuple<std::type_index, int64_t, uint64_t>;
+
+    struct Entry
+    {
+        apps::EvalContextPtr ctx;
+        uint64_t lastUse = 0;
+    };
+
+    std::mutex mutex;
+    std::map<Key, Entry> entries;
+    uint64_t clock = 0; // lastUse ticks, for least-recently-used eviction
+};
+
+ContextMemo &
+contextMemo()
+{
+    static ContextMemo memo;
+    return memo;
+}
+
+} // namespace
+
+size_t
+ModelEngine::contextMemoSize()
+{
+    ContextMemo &memo = contextMemo();
+    std::lock_guard<std::mutex> lock(memo.mutex);
+    return memo.entries.size();
+}
+
+apps::EvalContextPtr
+ModelEngine::sharedContext(const apps::Benchmark &benchmark,
+                           int64_t n) const
+{
+    ContextMemo &memo = contextMemo();
+    const ContextMemo::Key key{std::type_index(typeid(benchmark)), n,
+                               machineFingerprint_};
+    {
+        std::lock_guard<std::mutex> lock(memo.mutex);
+        auto it = memo.entries.find(key);
+        if (it != memo.entries.end()) {
+            it->second.lastUse = ++memo.clock;
+            return it->second.ctx;
+        }
+    }
+    // Build outside the lock so one engine's build never stalls
+    // another's lookups. Engines that miss together both build; the
+    // first to insert wins and everyone shares its context.
+    apps::EvalContextPtr built = benchmark.makeEvalContext(n, machine_);
+    std::lock_guard<std::mutex> lock(memo.mutex);
+    auto [it, inserted] = memo.entries.try_emplace(key);
+    if (inserted)
+        it->second.ctx = std::move(built);
+    it->second.lastUse = ++memo.clock;
+    if (memo.entries.size() > kContextMemoCapacity) {
+        auto oldest = memo.entries.begin();
+        for (auto e = memo.entries.begin(); e != memo.entries.end(); ++e)
+            if (e->second.lastUse < oldest->second.lastUse)
+                oldest = e;
+        memo.entries.erase(oldest); // never `it`: it was just used
+    }
+    return it->second.ctx;
+}
+
 const apps::EvalContext *
 ModelEngine::contextFor(const apps::Benchmark &benchmark, int64_t n)
 {
     if (ctxBenchmarkId_ != benchmark.instanceId() || ctxN_ != n) {
-        ctx_ = benchmark.makeEvalContext(n, machine_);
+        ctx_ = sharedContext(benchmark, n);
         ctxBenchmarkId_ = benchmark.instanceId();
         ctxN_ = n;
     }
@@ -193,7 +267,7 @@ ModelEngine::cacheScope(const apps::Benchmark &benchmark) const
 {
     return Fnv1a()
         .mix(std::string("model"))
-        .mix(machine_.fingerprint())
+        .mix(machineFingerprint_)
         .mix(benchmark.name())
         .value();
 }

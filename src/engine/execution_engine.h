@@ -262,7 +262,9 @@ class ModelEngine : public ExecutionEngine
      *        one per hardware thread, 1 disables parallelism.
      */
     explicit ModelEngine(sim::MachineProfile machine, int parallelism = 0)
-        : machine_(std::move(machine)), parallelism_(parallelism)
+        : machine_(std::move(machine)),
+          machineFingerprint_(machine_.fingerprint()),
+          parallelism_(parallelism)
     {}
 
     const sim::MachineProfile &machine() const { return machine_; }
@@ -303,23 +305,45 @@ class ModelEngine : public ExecutionEngine
      * share cache entries. */
     uint64_t cacheScope(const apps::Benchmark &benchmark) const override;
 
-  private:
-    ThreadPool &pool();
-
     /**
-     * The engine's EvaluationContext memo: the benchmark's
-     * config-invariant state for (benchmark, n), built on first use
-     * and reused until the key changes — so a TuningSession generation
-     * (one runBatch per (benchmark, n)) builds it exactly once, and
-     * consecutive single run()/measure() calls share it too. Mutated
-     * only on the caller's thread (engines are serial-per-caller); the
-     * batch loops resolve it once before fanning out, and the built
-     * context itself is immutable and thread-safe to share.
+     * The evaluation context this engine prices (@p benchmark, @p n)
+     * with. Contexts come from one process-wide memo keyed (dynamic
+     * type of the benchmark, n, machine content fingerprint): a
+     * benchmark's type fixes its model (see apps::Benchmark), so every
+     * engine and every instance pricing the same point shares one
+     * immutable context, built once per process. The memo is bounded
+     * (kContextMemoCapacity, least recently used out) and guarded by a
+     * mutex; a context is built outside the lock. In front of it sits
+     * a one-slot fast path keyed (instanceId, n), so a TuningSession
+     * generation and consecutive run()/measure() calls touch no lock.
+     * The slot is mutated only on the caller's thread (engines are
+     * serial-per-caller); the batch loops resolve it before fanning
+     * out.
      */
     const apps::EvalContext *contextFor(const apps::Benchmark &benchmark,
                                         int64_t n);
 
+    /**
+     * Bound on the process-wide context memo, in entries. A tuning run
+     * touches one entry per (benchmark, ladder size); 256 holds every
+     * benchmark's ladder on several machines. The portfolio Dispatcher
+     * builds its own contexts instead: it prices arbitrary request
+     * sizes, which would churn the memo and grow resident memory.
+     */
+    static constexpr size_t kContextMemoCapacity = 256;
+
+    /** Contexts the process-wide memo holds now. */
+    static size_t contextMemoSize();
+
+  private:
+    ThreadPool &pool();
+
+    /** The process-wide memo lookup behind contextFor(). */
+    apps::EvalContextPtr sharedContext(const apps::Benchmark &benchmark,
+                                       int64_t n) const;
+
     sim::MachineProfile machine_;
+    uint64_t machineFingerprint_;
     int parallelism_ = 0;
     std::unique_ptr<ThreadPool> pool_; // created on first batch
 

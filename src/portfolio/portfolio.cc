@@ -249,9 +249,11 @@ ChampionPortfolio::allFor(const std::string &benchmark) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     std::vector<ChampionRecord> out;
-    for (const auto &[key, record] : records_)
-        if (std::get<0>(key) == benchmark)
-            out.push_back(record);
+    auto it = records_.lower_bound(
+        Key{benchmark, 0, std::numeric_limits<int64_t>::min()});
+    for (; it != records_.end() && std::get<0>(it->first) == benchmark;
+         ++it)
+        out.push_back(it->second);
     return out;
 }
 

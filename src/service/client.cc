@@ -6,6 +6,7 @@
 #include <sstream>
 #include <thread>
 
+#include "service/http.h"
 #include "support/error.h"
 
 namespace petabricks {
@@ -242,8 +243,9 @@ Client::portfolioChampion(const std::string &benchmark,
                           const std::string &machine, int64_t n)
 {
     return commandWithRetry("GET",
-                            "/portfolio/champion?benchmark=" + benchmark +
-                                "&machine=" + machine +
+                            "/portfolio/champion?benchmark=" +
+                                urlEncode(benchmark) +
+                                "&machine=" + urlEncode(machine) +
                                 "&n=" + std::to_string(n));
 }
 

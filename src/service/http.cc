@@ -114,6 +114,25 @@ HttpResponse::error(int status, std::string message)
 }
 
 std::string
+urlEncode(const std::string &text)
+{
+    static const char *hex = "0123456789ABCDEF";
+    std::string out;
+    out.reserve(text.size());
+    for (unsigned char c : text) {
+        if (std::isalnum(c) || c == '-' || c == '_' || c == '.' ||
+            c == '~') {
+            out += static_cast<char>(c);
+        } else {
+            out += '%';
+            out += hex[c >> 4];
+            out += hex[c & 15];
+        }
+    }
+    return out;
+}
+
+std::string
 urlDecode(const std::string &text)
 {
     std::string out;

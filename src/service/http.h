@@ -66,6 +66,10 @@ struct HttpResponse
     static HttpResponse error(int status, std::string message);
 };
 
+/** Percent-encode every byte of @p text outside the RFC 3986
+ * unreserved set, for use as a query component. */
+std::string urlEncode(const std::string &text);
+
 /** Decode %XX escapes and '+' in a URL component. */
 std::string urlDecode(const std::string &text);
 

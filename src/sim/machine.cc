@@ -272,21 +272,45 @@ MachineProfile::bigLittle()
     return m;
 }
 
+namespace {
+
+/** One registered profile: its code name and how to build it. */
+struct Registered
+{
+    const char *name; // must equal the built profile's name
+    MachineProfile (*make)();
+};
+
+// Presentation order.
+constexpr Registered kProfiles[] = {
+    {"Desktop", &MachineProfile::desktop},
+    {"Server", &MachineProfile::server},
+    {"Laptop", &MachineProfile::laptop},
+    {"Ultrabook", &MachineProfile::ultrabook},
+    {"BigLittle", &MachineProfile::bigLittle},
+};
+
+} // namespace
+
 std::vector<MachineProfile>
 MachineProfile::all()
 {
-    return {desktop(), server(), laptop(), ultrabook(), bigLittle()};
+    std::vector<MachineProfile> out;
+    for (const Registered &profile : kProfiles)
+        out.push_back(profile.make());
+    return out;
 }
 
 MachineProfile
 MachineProfile::byName(const std::string &name)
 {
+    for (const Registered &profile : kProfiles)
+        if (name == profile.name)
+            return profile.make();
     std::string known;
-    for (auto &m : all()) {
-        if (m.name == name)
-            return m;
+    for (const Registered &profile : kProfiles) {
         known += known.empty() ? "" : ", ";
-        known += m.name;
+        known += profile.name;
     }
     PB_FATAL("unknown machine profile '" << name << "' (known profiles: "
                                          << known << ")");

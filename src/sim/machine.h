@@ -109,8 +109,9 @@ struct MachineProfile
     static std::vector<MachineProfile> all();
 
     /**
-     * Lookup by code name ("Desktop", "Server", ...). Unknown names
-     * raise a FatalError listing every registered profile name.
+     * Lookup by code name ("Desktop", "Server", ...) in a static
+     * table: only the matching profile is built. Unknown names raise a
+     * FatalError listing every registered profile name.
      */
     static MachineProfile byName(const std::string &name);
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -60,8 +61,7 @@ TuningSession::currentInputSize() const
 }
 
 std::vector<double>
-TuningSession::measureBatch(const std::vector<Config> &configs,
-                            int64_t size)
+TuningSession::measureBatch(std::vector<Config> &configs, int64_t size)
 {
     const size_t count = configs.size();
     std::vector<double> seconds(count, 0.0);
@@ -109,10 +109,31 @@ TuningSession::measureBatch(const std::vector<Config> &configs,
     }
 
     if (!evalIndex.empty()) {
-        std::vector<Config> pending;
-        pending.reserve(evalIndex.size());
-        for (size_t i : evalIndex)
-            pending.push_back(configs[i]);
+        // Swap the configs to evaluate to the front (evalIndex ascends,
+        // so evalIndex[k] >= k), so the evaluator gets a span over them
+        // without a copy; an all-miss batch needs no swap at all. The
+        // guard undoes the swaps in reverse when this block exits, so
+        // @p configs is restored even if pricing throws.
+        struct FrontSwaps
+        {
+            std::vector<Config> &configs;
+            const std::vector<size_t> &order;
+            void
+            apply(size_t k)
+            {
+                if (order[k] != k)
+                    std::swap(configs[k], configs[order[k]]);
+            }
+            ~FrontSwaps()
+            {
+                for (size_t k = order.size(); k-- > 0;)
+                    apply(k);
+            }
+        } swaps{configs, evalIndex};
+        for (size_t k = 0; k < evalIndex.size(); ++k)
+            swaps.apply(k);
+        const std::span<const Config> pending(configs.data(),
+                                              evalIndex.size());
 
         // The generation-level batch: one evaluator call for every
         // config the cache could not answer.
@@ -133,7 +154,7 @@ TuningSession::measureBatch(const std::vector<Config> &configs,
             double compile = 0.0;
             std::unordered_set<std::string> uniqueSources;
             for (const std::string &src :
-                 evaluator_.kernelSources(configs[i], size))
+                 evaluator_.kernelSources(pending[k], size))
                 if (uniqueSources.insert(src).second)
                     compile += compileModel_.compile(src);
             report_.compileSeconds += compile;

@@ -213,9 +213,11 @@ class TuningSession
      * Score @p configs at @p size with caching, in-batch dedup, and
      * the Section 5.4 per-test compile accounting; one
      * evaluateBatch() call covers every config not answered by the
-     * cache. Returns seconds index-aligned with @p configs.
+     * cache. Returns seconds index-aligned with @p configs. The
+     * evaluator reads the configs in place: @p configs is reordered
+     * during the call and restored before it returns.
      */
-    std::vector<double> measureBatch(const std::vector<Config> &configs,
+    std::vector<double> measureBatch(std::vector<Config> &configs,
                                      int64_t size);
 
     void emitProgress();

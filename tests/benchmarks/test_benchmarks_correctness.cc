@@ -78,7 +78,7 @@ TEST(BlackScholesReal, SplitRatioMatchesReference)
 
 TEST(ConvolutionReal, AllMappingsMatchReference)
 {
-    ConvolutionBenchmark bench(5);
+    ConvolutionAtWidth<5> bench;
     Rng rng(5);
     ocl::Device device(sim::MachineProfile::desktop().ocl);
     runtime::Runtime rt(2, &device);
@@ -108,7 +108,7 @@ TEST(ConvolutionReal, AllMappingsMatchReference)
 
 TEST(PoissonReal, PackedSorMatchesDirectSor)
 {
-    PoissonBenchmark bench(4);
+    PoissonBenchmark bench;
     Rng rng(7);
     ocl::Device device(sim::MachineProfile::desktop().ocl);
     runtime::Runtime rt(2, &device);
@@ -120,14 +120,14 @@ TEST(PoissonReal, PackedSorMatchesDirectSor)
     exec.execute(bench.transform(), binding, bench.planFor(config, 32));
     exec.syncOutputs(bench.transform(), binding);
     MatrixD got = bench.unpackResult(binding);
-    MatrixD ref = PoissonBenchmark::reference(initial, 4,
-                                              PoissonBenchmark::kOmega);
+    MatrixD ref = PoissonBenchmark::reference(
+        initial, PoissonBenchmark::kIterations, PoissonBenchmark::kOmega);
     EXPECT_LT(maxAbsDiff(got, ref), 1e-9);
 }
 
 TEST(PoissonReal, GpuIterationMatchesCpu)
 {
-    PoissonBenchmark bench(3);
+    PoissonBenchmark bench;
     Rng rng(9);
     ocl::Device device(sim::MachineProfile::desktop().ocl);
     runtime::Runtime rt(2, &device);
@@ -141,8 +141,8 @@ TEST(PoissonReal, GpuIterationMatchesCpu)
         .setAlgorithm(0, backendAlg(compiler::Backend::OpenClLocal));
     exec.execute(bench.transform(), binding, bench.planFor(config, 24));
     exec.syncOutputs(bench.transform(), binding);
-    MatrixD ref = PoissonBenchmark::reference(initial, 3,
-                                              PoissonBenchmark::kOmega);
+    MatrixD ref = PoissonBenchmark::reference(
+        initial, PoissonBenchmark::kIterations, PoissonBenchmark::kOmega);
     EXPECT_LT(maxAbsDiff(bench.unpackResult(binding), ref), 1e-9);
 }
 

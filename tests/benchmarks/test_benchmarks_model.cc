@@ -60,8 +60,13 @@ TEST(ModelConvolution, EachMappingWinsSomewhere)
     // machine / kernel-width combination.
     std::set<std::pair<bool, bool>> winners;
     for (const auto &machine : {kDesktop, kServer, kLaptop}) {
-        for (int64_t kw : {3, 7, 11, 17}) {
-            ConvolutionBenchmark bench(kw);
+        const std::vector<std::shared_ptr<ConvolutionBenchmark>> widths =
+            {std::make_shared<ConvolutionAtWidth<3>>(),
+             std::make_shared<ConvolutionBenchmark>(),
+             std::make_shared<ConvolutionAtWidth<11>>(),
+             std::make_shared<ConvolutionAtWidth<17>>()};
+        for (const auto &width : widths) {
+            const ConvolutionBenchmark &bench = *width;
             double best = std::numeric_limits<double>::infinity();
             std::pair<bool, bool> bestMapping{false, false};
             for (bool separable : {false, true}) {
@@ -83,7 +88,7 @@ TEST(ModelConvolution, EachMappingWinsSomewhere)
 
 TEST(ModelConvolution, SeparableWinsForWideKernels)
 {
-    ConvolutionBenchmark wide(17);
+    ConvolutionAtWidth<17> wide;
     auto sep = ConvolutionBenchmark::fixedMapping(true, true);
     auto full = ConvolutionBenchmark::fixedMapping(false, true);
     EXPECT_LT(wide.evaluate(sep, 3520, kDesktop),
@@ -92,7 +97,7 @@ TEST(ModelConvolution, SeparableWinsForWideKernels)
 
 TEST(ModelConvolution, LocalMemoryHurtsOnServer)
 {
-    ConvolutionBenchmark bench(7);
+    ConvolutionBenchmark bench;
     auto noLocal = ConvolutionBenchmark::fixedMapping(true, false);
     auto local = ConvolutionBenchmark::fixedMapping(true, true);
     EXPECT_LT(bench.evaluate(noLocal, 3520, kServer),
@@ -219,7 +224,7 @@ TEST(ModelTridiag, AlgorithmChoiceFollowsThePaper)
 
 TEST(ModelSvd, AccuracyTargetGatesConfigs)
 {
-    SvdBenchmark bench(0.30);
+    SvdBenchmark bench;
     tuner::Config tooCoarse = bench.seedConfig();
     tooCoarse.tunable("SVD.k8").value = 1;
     EXPECT_TRUE(std::isinf(

@@ -7,6 +7,7 @@
 // tolerance comparisons here: any divergence, however small, means the
 // fast path changed the model.
 
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -120,6 +121,48 @@ TEST(EvalFastPath, NullContextFallsBackToReference)
         tuner::Config config = benchmark->seedConfig();
         EXPECT_EQ(evalReference(*benchmark, config, n, machine),
                   evalFast(*benchmark, config, n, machine, nullptr));
+    }
+}
+
+/** Costs priced through ModelEngine's process-wide context memo — with
+ * the context built by a *different* instance of the benchmark — are
+ * bit-identical to a context the priced instance builds itself. */
+TEST(EvalFastPath, SharedMemoCostsMatchPerInstanceContexts)
+{
+    for (const sim::MachineProfile &machine :
+         {sim::MachineProfile::desktop(), sim::MachineProfile::server(),
+          sim::MachineProfile::laptop()}) {
+        for (const apps::BenchmarkPtr &owner : apps::allBenchmarks()) {
+            apps::BenchmarkPtr fresh = apps::findBenchmark(owner->name());
+            for (int64_t n :
+                 {owner->minTuningSize(), owner->testingInputSize()}) {
+                engine::ModelEngine filler(machine, 1);
+                engine::ModelEngine engine(machine, 2);
+                const apps::EvalContext *shared =
+                    filler.contextFor(*owner, n);
+                ASSERT_EQ(engine.contextFor(*fresh, n), shared)
+                    << owner->name() << " n=" << n << " on "
+                    << machine.name;
+                apps::EvalContextPtr own =
+                    fresh->makeEvalContext(n, machine);
+                ASSERT_NE(own.get(), shared);
+
+                std::vector<tuner::Config> configs = mutatedPopulation(
+                    *fresh, n, 30,
+                    0x5EED ^ static_cast<uint64_t>(n) ^
+                        std::hash<std::string>()(machine.name));
+                std::vector<double> viaMemo =
+                    engine.measureBatch(*fresh, configs, n);
+                for (size_t i = 0; i < configs.size(); ++i) {
+                    double viaOwn = evalFast(*fresh, configs[i], n, machine,
+                                             own.get());
+                    EXPECT_EQ(std::bit_cast<uint64_t>(viaMemo[i]),
+                              std::bit_cast<uint64_t>(viaOwn))
+                        << owner->name() << " n=" << n << " on "
+                        << machine.name << " config " << i;
+                }
+            }
+        }
     }
 }
 

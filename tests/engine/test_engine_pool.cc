@@ -130,7 +130,7 @@ TEST(RunBatch, DefaultImplementationLoopsOverRun)
 {
     // RuntimeEngine does not override runBatch: the base-class loop
     // must execute every config serially on the one engine.
-    apps::ConvolutionBenchmark conv(5);
+    apps::ConvolutionAtWidth<5> conv;
     RuntimeEngine engine;
     auto configs = convolutionBatch();
     std::vector<RunResult> results = engine.runBatch(conv, configs, 48);
@@ -143,7 +143,7 @@ TEST(RunBatch, DefaultImplementationLoopsOverRun)
 
 TEST(ConcurrencyGates, FunctionStyleBenchmarksRefuseConcurrentInstances)
 {
-    apps::ConvolutionBenchmark conv(5); // transform-style: safe
+    apps::ConvolutionAtWidth<5> conv; // transform-style: safe
     apps::SortBenchmark sort;           // function-style: shared ChoiceFile
     EXPECT_TRUE(conv.realModeConcurrencySafe());
     EXPECT_FALSE(sort.realModeConcurrencySafe());
@@ -158,7 +158,7 @@ TEST(ConcurrencyGates, FunctionStyleBenchmarksRefuseConcurrentInstances)
 
 TEST(EnginePool, FansBatchAcrossRuntimeInstances)
 {
-    apps::ConvolutionBenchmark conv(5);
+    apps::ConvolutionAtWidth<5> conv;
     EnginePool pool([] { return std::make_unique<RuntimeEngine>(); }, 3);
     EXPECT_EQ(pool.engineCount(), 3);
     EXPECT_TRUE(pool.supports(conv));

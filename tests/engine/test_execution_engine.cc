@@ -39,7 +39,7 @@ TEST(RuntimeEngine, TunedConfigsStayCorrect)
     // benchmark onto a non-default algorithm.
     RuntimeEngine engine;
 
-    apps::ConvolutionBenchmark conv(5);
+    apps::ConvolutionAtWidth<5> conv;
     tuner::Config gpuConv =
         apps::ConvolutionBenchmark::fixedMapping(/*separable=*/true,
                                                  /*localMem=*/true);
@@ -60,7 +60,7 @@ TEST(RuntimeEngine, TunedConfigsStayCorrect)
 TEST(RuntimeEngine, GpuPlacementUsesTheManagedDevice)
 {
     RuntimeEngine engine;
-    apps::ConvolutionBenchmark conv(5);
+    apps::ConvolutionAtWidth<5> conv;
     int64_t before = engine.device()->stats().launches;
     engine.run(conv,
                apps::ConvolutionBenchmark::fixedMapping(false, false),

@@ -299,7 +299,7 @@ TEST(FaultInjection, TuningChampionIsByteIdenticalUnderRecoverableFaults)
     // The acceptance bar of the whole layer: a search whose every
     // injected fault recovers within the retry budget must converge to
     // exactly the champion a clean search finds.
-    apps::ConvolutionBenchmark bench(5);
+    apps::ConvolutionAtWidth<5> bench;
 
     auto tune = [&](std::unique_ptr<ExecutionEngine> engine) {
         EngineEvaluator evaluator(bench, *engine);

@@ -115,6 +115,34 @@ TEST(PortfolioApi, TuneThenDispatchEndToEnd)
     server.stop();
 }
 
+TEST(PortfolioApi, ClientEncodesNamesWithSpaces)
+{
+    // "Poisson2D SOR" must reach the daemon percent-encoded; sent raw,
+    // the space ends the request target and the daemon answers 400.
+    TuningServer server(portfolioServerOptions("spaces"));
+    server.start();
+    Client client("127.0.0.1", server.port());
+
+    KvFile body;
+    body.set("benchmark", "Poisson2D SOR");
+    body.set("machine", "Desktop");
+    body.setIntList("sizes", {64, 256});
+    body.setInt("population", 4);
+    body.setInt("generations", 2);
+    KvFile tuned = client.portfolioTune(body);
+    EXPECT_EQ(tuned.getInt("tune.rungs"), 2);
+
+    KvFile served =
+        client.portfolioChampion("Poisson2D SOR", "Desktop", 256);
+    EXPECT_EQ(served.get("dispatch.policy"), "exact");
+    EXPECT_EQ(served.get("champion.configFingerprint"),
+              tuned.get("rung.1.configFingerprint"));
+    KvFile between =
+        client.portfolioChampion("Poisson2D SOR", "Desktop", 128);
+    EXPECT_EQ(between.get("dispatch.policy"), "priced");
+    server.stop();
+}
+
 TEST(PortfolioApi, ChampionIsByteIdenticalAcrossRestart)
 {
     ServerOptions options = portfolioServerOptions("restart");

@@ -26,6 +26,16 @@ TEST(Machine, ByNameLookup)
     EXPECT_THROW(MachineProfile::byName("Phone"), FatalError);
 }
 
+TEST(Machine, ByNameFindsEveryRegisteredProfile)
+{
+    // The lookup table's names must match what each profile calls
+    // itself, and return the same machine all() does.
+    for (const auto &m : MachineProfile::all())
+        EXPECT_EQ(MachineProfile::byName(m.name).fingerprint(),
+                  m.fingerprint())
+            << m.name;
+}
+
 TEST(Machine, ByNameUnknownListsKnownProfiles)
 {
     try {
